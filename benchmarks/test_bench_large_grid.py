@@ -1,8 +1,7 @@
-"""Benchmark — production-size grids: throughput, memory, and dispatch.
+"""Benchmark — production-size grids: throughput and memory.
 
-The PR-5 gate for memory-bounded streaming metrics, slot-blocked hot
-loops, and zero-copy worker dispatch, measured at a grid point far beyond
-the paper's (128 RSUs x 50 contents, 2000 slots, 8 seeds):
+The PR-5 gate for memory-bounded streaming metrics and slot-blocked hot
+loops, measured at a grid point far beyond the paper's (128 RSUs x 50 contents, 2000 slots, 8 seeds):
 
 * ``large_grid`` — an 8-seed seed-batched cache run with
   ``metrics="summary"`` and blocked emission must beat the faithfully
@@ -13,8 +12,6 @@ the paper's (128 RSUs x 50 contents, 2000 slots, 8 seeds):
 * ``large_grid_memory`` — the tracemalloc peak of a ``metrics="summary"``
   run must stay flat (+-10%) when the horizon grows 10x; the full-mode
   peak is recorded alongside for contrast.
-* ``large_grid_dispatch`` — shared-memory horizon shipment produces
-  bit-identical records and its setup cost is reported.
 
 ``REPRO_BENCH_QUICK=1`` shrinks the grid to a CI-sized smoke
 (32x20, short horizons) that checks execution, not ratios.
@@ -34,9 +31,6 @@ import pytest
 
 from repro.baselines.caching import PeriodicUpdatePolicy
 from repro.core.reward import RewardBreakdown
-from repro.policies import PolicySpec
-from repro.runtime.runner import ExperimentRunner, RunSpec
-from repro.runtime.shm import shared_memory_available
 from repro.sim.cache_sim import _BatchedCacheStage
 from repro.sim.scenario import ScenarioConfig
 from repro.sim.simulator import CacheSimulator
@@ -63,11 +57,6 @@ def _scenario(num_slots: int) -> ScenarioConfig:
         num_slots=num_slots,
         seed=0,
     )
-
-
-def periodic_policy_factory(scenario):
-    """Cheap deterministic caching policy, picklable for pool dispatch."""
-    return PeriodicUpdatePolicy(period=5)
 
 
 def _run_batch(metrics: str, block_size):
@@ -299,65 +288,6 @@ def test_summary_memory_flat_in_horizon(capsys, bench_record):
     if not QUICK:
         assert flatness >= 0.9
         assert peak_full_small > 2 * peak_large
-
-
-def test_zero_copy_dispatch_overhead(capsys, bench_record):
-    """Shared-memory dispatch is bit-identical and its setup cost visible."""
-    if not shared_memory_available():  # pragma: no cover - exotic platforms
-        return
-    scenario = ScenarioConfig.fig1b(seed=0).with_overrides(
-        num_rsus=NUM_RSUS // 4, num_slots=min(SLOTS, 400)
-    )
-    specs = [
-        RunSpec(
-            kind="service",
-            scenario=scenario,
-            policy=PolicySpec.coerce("lyapunov"),
-            label="lyapunov",
-        ),
-        RunSpec(
-            kind="service",
-            scenario=scenario,
-            policy=PolicySpec.coerce("always-serve"),
-            label="always-serve",
-        ),
-    ]
-    runner = ExperimentRunner(workers=2, shared_memory=True)
-    start = time.perf_counter()
-    shipped = runner.run_grid(specs, num_seeds=4)
-    shm_wall = time.perf_counter() - start
-    stats = runner.last_dispatch_stats
-    start = time.perf_counter()
-    plain = ExperimentRunner(workers=2, shared_memory=False).run_grid(
-        specs, num_seeds=4
-    )
-    plain_wall = time.perf_counter() - start
-    assert shipped.matches(plain)
-    assert stats["shared_memory"]
-    bench_record(
-        "large_grid_dispatch",
-        GRID,
-        wall_seconds_shm=shm_wall,
-        wall_seconds_plain=plain_wall,
-        shm_blocks=stats["shm_blocks"],
-        shm_bytes=stats["shm_bytes"],
-        shm_setup_seconds=stats["shm_setup_seconds"],
-        horizon_precompute_seconds=stats["horizon_precompute_seconds"],
-        horizons_computed=stats["horizons_computed"],
-        horizons_reused=stats["horizons_reused"],
-    )
-    with capsys.disabled():
-        print(
-            f"\n[large-grid dispatch] {stats['shm_blocks']} blocks, "
-            f"{stats['shm_bytes'] / 1e6:.2f}MB shared, setup "
-            f"{stats['shm_setup_seconds'] * 1e3:.1f}ms, precompute "
-            f"{stats['horizon_precompute_seconds'] * 1e3:.1f}ms "
-            f"(computed {stats['horizons_computed']}, reused "
-            f"{stats['horizons_reused']}); wall shm {shm_wall:.2f}s vs "
-            f"plain {plain_wall:.2f}s"
-        )
-    # The whole point of the memo: the second policy reuses every horizon.
-    assert stats["horizons_reused"] >= stats["horizons_computed"]
 
 
 if __name__ == "__main__":  # subprocess timing entry for _cold_run_seconds

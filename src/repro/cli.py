@@ -192,7 +192,7 @@ def build_parser() -> argparse.ArgumentParser:
         help=(
             "wrap the run in cProfile and print the top-20 cumulative-time "
             "hotspots after the reports; with --spec, also report per-worker "
-            "time and shared-memory dispatch overhead"
+            "task time and the dispatch wall time"
         ),
     )
 
@@ -584,14 +584,6 @@ def _write_dispatch_report(stats, out) -> None:
         f"tasks: {stats['tasks']}  workers: {stats['workers']}  "
         f"wall: {stats['wall_seconds']:.3f}s  "
         f"task time total: {stats['task_seconds_total']:.3f}s\n"
-    )
-    out.write(
-        f"shared memory: {'on' if stats['shared_memory'] else 'off'}  "
-        f"blocks: {stats['shm_blocks']}  bytes: {stats['shm_bytes']}  "
-        f"setup: {stats['shm_setup_seconds']:.3f}s  "
-        f"horizon precompute: {stats['horizon_precompute_seconds']:.3f}s "
-        f"(computed {stats['horizons_computed']}, "
-        f"reused {stats['horizons_reused']})\n"
     )
     for pid, entry in sorted(stats["per_worker"].items()):
         out.write(

@@ -29,6 +29,18 @@ from repro.utils.validation import (
 )
 
 
+def sampling_cdf(weights: np.ndarray) -> np.ndarray:
+    """The normalised CDF :meth:`RequestGenerator._slot_batches` samples from.
+
+    Built exactly as ``Generator.choice(n, size, p=weights)`` builds it for
+    ``replace=True``, so ``cdf.searchsorted(rng.random(size), side="right")``
+    returns the same indices and consumes the same doubles from *rng*.
+    """
+    cdf = np.cumsum(weights, dtype=float)
+    cdf /= cdf[-1]
+    return cdf
+
+
 @dataclass(frozen=True)
 class Request:
     """A single content request issued by a UV to an RSU.
@@ -231,10 +243,10 @@ class RequestGenerator:
 
     This class is also the sampling engine behind :mod:`repro.workloads`:
     non-stationary request-process models subclass it and override the
-    :meth:`_advance_to` / :meth:`_weights` hooks to evolve the per-RSU
-    popularity over time, inheriting the exact per-slot RNG draw discipline
-    that keeps the scalar, vectorised, and seed-batched simulator loops on
-    identical workloads.
+    :meth:`_advance_to` / :meth:`_weights` / :meth:`_cdf` hooks to evolve
+    the per-RSU popularity over time, inheriting the exact per-slot RNG
+    draw discipline that keeps the scalar, vectorised, and seed-batched
+    simulator loops on identical workloads.
 
     Parameters
     ----------
@@ -277,6 +289,8 @@ class RequestGenerator:
         # fancy-index the chosen contents instead of round-tripping through
         # a Python list comprehension.
         self._local_content_arrays: Dict[int, np.ndarray] = {}
+        # Per-RSU sampling CDFs, built once: the popularity never changes.
+        self._local_cdf: Dict[int, np.ndarray] = {}
         for rsu in topology.rsus:
             contents = rsu.covered_regions
             self._local_contents[rsu.rsu_id] = contents
@@ -287,6 +301,9 @@ class RequestGenerator:
                 weights = zipf_popularity(len(contents), zipf_exponent)
             self._local_popularity[rsu.rsu_id] = check_probability_vector(
                 weights, f"popularity of RSU {rsu.rsu_id}"
+            )
+            self._local_cdf[rsu.rsu_id] = sampling_cdf(
+                self._local_popularity[rsu.rsu_id]
             )
 
     @property
@@ -334,14 +351,22 @@ class RequestGenerator:
         """Popularity over RSU *rsu_id*'s contents in effect at *time_slot*."""
         return self._local_popularity[rsu_id]
 
+    def _cdf(self, rsu_id: int, time_slot: int) -> np.ndarray:
+        """:func:`sampling_cdf` of :meth:`_weights`, kept in step with it."""
+        return self._local_cdf[rsu_id]
+
     def _slot_batches(self, time_slot: int) -> List[Tuple[int, np.ndarray]]:
         """Sample one slot's arrivals: the single RNG-drawing core.
 
         Every public generation method funnels through here, so all of them
         perform exactly the same draws in exactly the same order: first the
         state evolution of :meth:`_advance_to`, then per RSU (in topology
-        order) one arrival-count sample, then one ``choice`` call when that
-        RSU has arrivals.
+        order) one arrival-count sample, then, when that RSU has arrivals,
+        one block of ``count`` uniforms mapped to contents by a
+        ``searchsorted`` on the RSU's precomputed CDF.  That is the draw
+        ``rng.choice(n, size=count, p=weights)`` makes internally: it
+        consumes the same RNG doubles and picks the same contents, without
+        re-validating and re-summing the weights on every call.
         """
         if time_slot < 0:
             raise ValidationError(f"time_slot must be >= 0, got {time_slot}")
@@ -352,9 +377,9 @@ class RequestGenerator:
             if count <= 0:
                 continue
             contents = self._local_content_arrays[rsu.rsu_id]
-            weights = self._weights(rsu.rsu_id, time_slot)
-            chosen = self._rng.choice(contents.size, size=count, p=weights)
-            batches.append((rsu.rsu_id, contents[np.atleast_1d(chosen)]))
+            cdf = self._cdf(rsu.rsu_id, time_slot)
+            chosen = cdf.searchsorted(self._rng.random(count), side="right")
+            batches.append((rsu.rsu_id, contents[chosen]))
         return batches
 
     def generate_slot(
@@ -387,8 +412,8 @@ class RequestGenerator:
         This is the allocation-free twin of :meth:`generate_slot` used by the
         vectorised simulators: it performs *exactly* the same RNG draws in
         exactly the same order (one arrival-count sample per RSU, then one
-        ``choice`` call per RSU with arrivals), so a run consuming this
-        method sees the same workload, bit for bit, as one consuming
+        CDF ``searchsorted`` draw per RSU with arrivals), so a run consuming
+        this method sees the same workload, bit for bit, as one consuming
         :meth:`generate_slot` — it just skips building per-request
         :class:`Request` objects.
         """

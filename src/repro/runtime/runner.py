@@ -32,7 +32,6 @@ from typing import Any, Callable, Dict, Iterable, List, Optional, Sequence
 import numpy as np
 
 from repro.exceptions import ValidationError
-from repro.runtime.shm import HorizonShipment, attach_horizons, shared_memory_available
 from repro.sim.metrics import METRICS_MODES
 from repro.sim.scenario import ScenarioConfig
 from repro.utils.rng import spawn_run_seeds
@@ -366,11 +365,9 @@ def execute_spec(spec: RunSpec) -> RunRecord:
     """
     # Imported here to keep the runner importable without pulling the whole
     # simulator stack at module import time (cheap anyway, but explicit).
-    from repro.sim.simulator import (
-        CacheSimulator,
-        JointSimulator,
-        ServiceSimulator,
-    )
+    from repro.sim.cache_sim import CacheSimulator
+    from repro.sim.joint_sim import JointSimulator
+    from repro.sim.service_sim import ServiceSimulator
 
     scenario = spec.scenario.with_overrides(seed=spec.seed)
     if spec.kind == "multihop":
@@ -428,87 +425,68 @@ def execute_spec(spec: RunSpec) -> RunRecord:
 def execute_batch(task: "tuple") -> List[RunRecord]:
     """Execute one seed-batched task group and record its outcomes.
 
-    A task is ``(RunSpec, seeds)`` or ``(RunSpec, seeds, shm_handle)``; the
-    optional third element is a shared-memory handle produced by
-    :class:`~repro.runtime.shm.HorizonShipment`, holding the group's
-    precomputed arrival tensors — attached here as zero-copy views instead
-    of regenerating (or pickling) them per task.
-
-    The simulators' ``run_batch`` carries every seed of the group through one
-    tensorised hot loop (see :meth:`repro.sim.simulator.CacheSimulator.run_batch`),
-    producing records bit-identical to running :func:`execute_spec` once per
-    seed.  Module-level and picklable so a process pool can run whole groups.
+    A task is ``(RunSpec, seeds)``.  The simulators' ``run_batch`` carries
+    every seed of the group through one tensorised hot loop (see
+    :meth:`repro.sim.cache_sim.CacheSimulator.run_batch`), generating each
+    seed's arrival horizon here, in the worker, and producing records
+    bit-identical to running :func:`execute_spec` once per seed.
+    Module-level and picklable so a process pool can run whole groups.
     """
-    spec, seeds = task[0], task[1]
-    handle = task[2] if len(task) > 2 else None
-    from repro.sim.simulator import (
-        CacheSimulator,
-        JointSimulator,
-        ServiceSimulator,
-    )
+    spec, seeds = task
+    from repro.sim.cache_sim import CacheSimulator
+    from repro.sim.joint_sim import JointSimulator
+    from repro.sim.service_sim import ServiceSimulator
 
-    attached = attach_horizons(handle) if handle is not None else None
-    horizons = attached.horizons if attached is not None else None
-    try:
-        scenarios = [spec.scenario.with_overrides(seed=seed) for seed in seeds]
-        policies = [
-            _materialize_memoized(spec.policy, scenario) for scenario in scenarios
+    scenarios = [spec.scenario.with_overrides(seed=seed) for seed in seeds]
+    policies = [
+        _materialize_memoized(spec.policy, scenario) for scenario in scenarios
+    ]
+    if spec.kind == "multihop":
+        from repro.sim.multihop_sim import MultihopSimulator
+
+        results = MultihopSimulator(
+            spec.scenario,
+            spec.policy,
+            reference=spec.reference,
+            metrics=spec.metrics,
+        ).run_batch(seeds, policies=policies, num_slots=spec.num_slots)
+        traces = [result.latency_history for result in results]
+    elif spec.kind == "cache":
+        results = CacheSimulator(
+            spec.scenario,
+            spec.policy,
+            reference=spec.reference,
+            metrics=spec.metrics,
+        ).run_batch(seeds, policies=policies, num_slots=spec.num_slots)
+        traces = [result.cumulative_reward for result in results]
+    elif spec.kind == "service":
+        results = ServiceSimulator(
+            spec.scenario,
+            spec.policy,
+            service_batch=spec.service_batch,
+            reference=spec.reference,
+            metrics=spec.metrics,
+        ).run_batch(seeds, policies=policies, num_slots=spec.num_slots)
+        traces = [result.latency_history for result in results]
+    else:
+        service_policies = [
+            _materialize_memoized(spec.service_policy, scenario)
+            for scenario in scenarios
         ]
-        if spec.kind == "multihop":
-            from repro.sim.multihop_sim import MultihopSimulator
-
-            results = MultihopSimulator(
-                spec.scenario,
-                spec.policy,
-                reference=spec.reference,
-                metrics=spec.metrics,
-            ).run_batch(seeds, policies=policies, num_slots=spec.num_slots)
-            traces = [result.latency_history for result in results]
-        elif spec.kind == "cache":
-            results = CacheSimulator(
-                spec.scenario,
-                spec.policy,
-                reference=spec.reference,
-                metrics=spec.metrics,
-            ).run_batch(seeds, policies=policies, num_slots=spec.num_slots)
-            traces = [result.cumulative_reward for result in results]
-        elif spec.kind == "service":
-            results = ServiceSimulator(
-                spec.scenario,
-                spec.policy,
-                service_batch=spec.service_batch,
-                reference=spec.reference,
-                metrics=spec.metrics,
-            ).run_batch(
-                seeds,
-                policies=policies,
-                num_slots=spec.num_slots,
-                horizons=horizons,
-            )
-            traces = [result.latency_history for result in results]
-        else:
-            service_policies = [
-                _materialize_memoized(spec.service_policy, scenario)
-                for scenario in scenarios
-            ]
-            results = JointSimulator(
-                spec.scenario,
-                spec.policy,
-                spec.service_policy,
-                service_batch=spec.service_batch,
-                reference=spec.reference,
-                metrics=spec.metrics,
-            ).run_batch(
-                seeds,
-                caching_policies=policies,
-                service_policies=service_policies,
-                num_slots=spec.num_slots,
-                horizons=horizons,
-            )
-            traces = [None] * len(results)
-    finally:
-        if attached is not None:
-            attached.close()
+        results = JointSimulator(
+            spec.scenario,
+            spec.policy,
+            spec.service_policy,
+            service_batch=spec.service_batch,
+            reference=spec.reference,
+            metrics=spec.metrics,
+        ).run_batch(
+            seeds,
+            caching_policies=policies,
+            service_policies=service_policies,
+            num_slots=spec.num_slots,
+        )
+        traces = [None] * len(results)
     return [
         RunRecord(
             label=spec.label,
@@ -533,6 +511,33 @@ def _execute_batch_timed(task: "tuple") -> "tuple":
     return records, time.perf_counter() - start, os.getpid()
 
 
+def _dispatch_stats(
+    tasks: int, workers: int, wall_seconds: float, outcomes: Sequence["tuple"]
+) -> Dict[str, Any]:
+    """Build :attr:`ExperimentRunner.last_dispatch_stats` for one dispatch.
+
+    *outcomes* are the ``(records, seconds, pid)`` triples of
+    :func:`_execute_batch_timed`; the untimed per-run path passes none.
+    """
+    per_worker: Dict[int, Dict[str, float]] = {}
+    for _, seconds, pid in outcomes:
+        entry = per_worker.setdefault(pid, {"tasks": 0, "seconds": 0.0})
+        entry["tasks"] += 1
+        entry["seconds"] += seconds
+    return {
+        "tasks": tasks,
+        "workers": workers,
+        "wall_seconds": wall_seconds,
+        "task_seconds_total": sum(seconds for _, seconds, _ in outcomes),
+        "per_worker": per_worker,
+        # Workers generate their own arrival horizons, so nothing is
+        # precomputed or shipped; the two keys stay, at 0, because the
+        # repository benchmark (perfbench/measure.py) still reads them.
+        "horizon_precompute_seconds": 0.0,
+        "shm_setup_seconds": 0.0,
+    }
+
+
 def _mark_worker() -> None:
     os.environ[_WORKER_ENV_FLAG] = "1"
 
@@ -548,34 +553,19 @@ class ExperimentRunner:
         the runner always degrades to serial so nested parallel sweeps do
         not spawn pools of pools.  Any worker count yields the identical
         :class:`BatchResult` — the pool only changes wall-clock time.
-    shared_memory:
-        Ship precomputed arrival-horizon tensors to pool workers through
-        :mod:`multiprocessing.shared_memory` instead of letting every task
-        regenerate them (``None`` = auto: on whenever the platform supports
-        it and a pool is actually used).  Horizons are memoised per
-        ``(scenario, seed)`` in the parent, so grids that evaluate many
-        policies on the same workload generate it exactly once.  Results
-        are bit-identical either way.
 
     Attributes
     ----------
     last_dispatch_stats:
         Machine-readable report of the most recent :meth:`run_grid`
-        dispatch — task/worker counts, shared-memory setup cost, horizon
-        precompute time, and per-worker wall seconds.  ``repro.cli run
-        --profile`` prints it.
+        dispatch — task/worker counts, dispatch wall seconds, and per-worker
+        task seconds.  ``repro.cli run --profile`` prints it.
     """
 
-    def __init__(
-        self,
-        workers: Optional[int] = None,
-        *,
-        shared_memory: Optional[bool] = None,
-    ) -> None:
+    def __init__(self, workers: Optional[int] = None) -> None:
         if workers is not None:
             check_positive_int(workers, "workers")
         self._workers = workers
-        self._shared_memory = shared_memory
         self.last_dispatch_stats: Optional[Dict[str, Any]] = None
 
     @property
@@ -742,20 +732,12 @@ class ExperimentRunner:
             ]
             started = time.perf_counter()
             records = self.map(execute_spec, expanded)
-            self.last_dispatch_stats = {
-                "tasks": len(expanded),
-                "workers": self.effective_workers(len(expanded)),
-                "shared_memory": False,
-                "wall_seconds": time.perf_counter() - started,
-                "task_seconds_total": 0.0,
-                "per_worker": {},
-                "shm_blocks": 0,
-                "shm_bytes": 0,
-                "shm_setup_seconds": 0.0,
-                "horizon_precompute_seconds": 0.0,
-                "horizons_computed": 0,
-                "horizons_reused": 0,
-            }
+            self.last_dispatch_stats = _dispatch_stats(
+                len(expanded),
+                self.effective_workers(len(expanded)),
+                time.perf_counter() - started,
+                [],
+            )
             return BatchResult(records=records)
         # Fill the pool: one task per group would leave workers idle when
         # the grid has fewer groups than workers, so split each group's
@@ -769,54 +751,11 @@ class ExperimentRunner:
             chunk = -(-count // splits)
             for start in range(0, count, chunk):
                 tasks.append((spec, tuple(seeds[start : start + chunk])))
-        shipment = None
-        use_shm = (
-            self._shared_memory
-            if self._shared_memory is not None
-            else shared_memory_available()
-        )
         started = time.perf_counter()
-        try:
-            # Block creation sits inside the same try/finally as the map:
-            # a packing failure mid-grid (e.g. /dev/shm exhausted) must
-            # still release every segment already created.
-            if use_shm and workers > 1 and shared_memory_available():
-                shipment = HorizonShipment()
-                tasks = [
-                    (spec, seeds, shipment.handle_for(spec, seeds))
-                    for spec, seeds in tasks
-                ]
-            outcomes = self.map(_execute_batch_timed, tasks)
-        finally:
-            if shipment is not None:
-                shipment.close()
-        wall_seconds = time.perf_counter() - started
-        per_worker: Dict[int, Dict[str, float]] = {}
-        for _, seconds, pid in outcomes:
-            entry = per_worker.setdefault(pid, {"tasks": 0, "seconds": 0.0})
-            entry["tasks"] += 1
-            entry["seconds"] += seconds
-        stats: Dict[str, Any] = {
-            "tasks": len(tasks),
-            "workers": workers,
-            "shared_memory": shipment is not None,
-            "wall_seconds": wall_seconds,
-            "task_seconds_total": sum(seconds for _, seconds, _ in outcomes),
-            "per_worker": per_worker,
-        }
-        stats.update(
-            shipment.stats()
-            if shipment is not None
-            else {
-                "shm_blocks": 0,
-                "shm_bytes": 0,
-                "shm_setup_seconds": 0.0,
-                "horizon_precompute_seconds": 0.0,
-                "horizons_computed": 0,
-                "horizons_reused": 0,
-            }
+        outcomes = self.map(_execute_batch_timed, tasks)
+        self.last_dispatch_stats = _dispatch_stats(
+            len(tasks), workers, time.perf_counter() - started, outcomes
         )
-        self.last_dispatch_stats = stats
         return BatchResult(
             records=[record for group, _, _ in outcomes for record in group]
         )
@@ -915,50 +854,11 @@ class ExperimentRunner:
             for record in records:
                 cell_records[(index, int(record.seed))] = record
 
-        shipment = None
-        use_shm = (
-            self._shared_memory
-            if self._shared_memory is not None
-            else shared_memory_available()
+        outcomes = (
+            self.map_stream(_execute_batch_timed, tasks, on_result) if tasks else []
         )
-        outcomes: List["tuple"] = []
-        try:
-            if tasks and use_shm and workers > 1 and shared_memory_available():
-                shipment = HorizonShipment()
-                tasks = [
-                    (spec, seeds, shipment.handle_for(spec, seeds))
-                    for spec, seeds in tasks
-                ]
-            if tasks:
-                outcomes = self.map_stream(_execute_batch_timed, tasks, on_result)
-        finally:
-            if shipment is not None:
-                shipment.close()
-        wall_seconds = time.perf_counter() - started
-        per_worker: Dict[int, Dict[str, float]] = {}
-        for _, seconds, pid in outcomes:
-            entry = per_worker.setdefault(pid, {"tasks": 0, "seconds": 0.0})
-            entry["tasks"] += 1
-            entry["seconds"] += seconds
-        stats: Dict[str, Any] = {
-            "tasks": len(tasks),
-            "workers": workers,
-            "shared_memory": shipment is not None,
-            "wall_seconds": wall_seconds,
-            "task_seconds_total": sum(seconds for _, seconds, _ in outcomes),
-            "per_worker": per_worker,
-        }
-        stats.update(
-            shipment.stats()
-            if shipment is not None
-            else {
-                "shm_blocks": 0,
-                "shm_bytes": 0,
-                "shm_setup_seconds": 0.0,
-                "horizon_precompute_seconds": 0.0,
-                "horizons_computed": 0,
-                "horizons_reused": 0,
-            }
+        stats = _dispatch_stats(
+            len(tasks), workers, time.perf_counter() - started, outcomes
         )
         cells_dispatched = cells_total - cells_cached
         stats["run_store"] = {

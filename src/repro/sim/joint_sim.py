@@ -32,7 +32,6 @@ from repro.sim.scenario import ScenarioConfig
 from repro.sim.service_sim import (
     _ServiceBlockRecorder,
     _VectorQueues,
-    _check_horizons,
     _enqueue_batches,
     _reference_service_slot,
     _vector_service_slot,
@@ -285,7 +284,6 @@ class JointSimulator:
         caching_policies: Optional[Sequence[CachingPolicy]] = None,
         service_policies: Optional[Sequence[ServicePolicy]] = None,
         num_slots: Optional[int] = None,
-        horizons: Optional[Sequence] = None,
     ) -> List[JointSimulationResult]:
         """Run one coupled simulation per seed through a seed-batched loop.
 
@@ -293,9 +291,7 @@ class JointSimulator:
         ``(num_seeds, num_rsus, contents_per_rsu)`` ages tensor exactly like
         :meth:`CacheSimulator.run_batch`; stage 2 reads each seed's live
         post-update slice of that tensor, preserving the AoI-guard coupling.
-        Bit-identical to per-seed :meth:`run` calls.  *horizons* optionally
-        supplies per-seed precomputed arrival tensors (see
-        :meth:`ServiceSimulator.run_batch`).
+        Bit-identical to per-seed :meth:`run` calls.
         """
         num_slots = check_positive_int(
             num_slots if num_slots is not None else self._config.num_slots,
@@ -337,10 +333,7 @@ class JointSimulator:
             _VectorQueues(self._config.num_rsus, self._config.deadline_slots)
             for _ in states
         ]
-        if horizons is None:
-            horizons = [state.workload.generate_horizon(num_slots) for state in states]
-        else:
-            _check_horizons(horizons, seeds)
+        horizons = [state.workload.generate_horizon(num_slots) for state in states]
         block = self._block(num_slots)
         shape = (self._config.num_rsus, self._config.contents_per_rsu)
         cache_recorders = [

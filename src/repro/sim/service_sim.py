@@ -21,7 +21,6 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from repro.core.policies import ServiceObservation, ServicePolicy
-from repro.exceptions import ValidationError
 from repro.net.queueing import RequestQueue
 from repro.sim.metrics import (
     DEFAULT_BLOCK_SLOTS,
@@ -313,14 +312,6 @@ def _reference_service_slot(
     metrics.record_slot(backlogs, latencies, costs, decisions, served_counts)
 
 
-def _check_horizons(horizons, seeds) -> None:
-    """Validate a caller-supplied per-seed horizon list."""
-    if len(horizons) != len(seeds):
-        raise ValidationError(
-            f"got {len(horizons)} precomputed horizons for {len(seeds)} seeds"
-        )
-
-
 class ServiceStepper:
     """Resumable one-slot-at-a-time execution of the stage-2 loop.
 
@@ -522,7 +513,6 @@ class ServiceSimulator:
         *,
         policies: Optional[Sequence[ServicePolicy]] = None,
         num_slots: Optional[int] = None,
-        horizons: Optional[Sequence] = None,
     ) -> List[ServiceSimulationResult]:
         """Run one simulation per seed, interleaved slot by slot.
 
@@ -531,16 +521,6 @@ class ServiceSimulator:
         scalar), so unlike :meth:`CacheSimulator.run_batch` there is no
         tensor axis to fold the seeds into; batching here exists so the
         runtime can dispatch whole seed groups uniformly across run kinds.
-
-        Parameters
-        ----------
-        horizons:
-            Optional per-seed precomputed
-            :class:`~repro.net.requests.WorkloadHorizon` arrival tensors
-            (e.g. attached from shared memory by the parallel runner).
-            Must match what ``generate_horizon`` would produce for each
-            seed; omitted, the horizons are generated here.  Ignored by the
-            scalar ``reference=True`` replay, which draws per slot.
         """
         num_slots = check_positive_int(
             num_slots if num_slots is not None else self._config.num_slots,
@@ -573,15 +553,11 @@ class ServiceSimulator:
             for config, policy in zip(configs, policies)
         ]
         # Replay precomputed arrival tensors: the hot loop never calls back
-        # into the workload models (the tensors either arrive from the
-        # dispatching runner or are generated here, identically).
-        if horizons is None:
-            horizons = [
-                stepper.state.workload.generate_horizon(num_slots)
-                for stepper in steppers
-            ]
-        else:
-            _check_horizons(horizons, seeds)
+        # into the workload models.
+        horizons = [
+            stepper.state.workload.generate_horizon(num_slots)
+            for stepper in steppers
+        ]
         for t in range(num_slots):
             for s, stepper in enumerate(steppers):
                 stepper.step(horizons[s].slot_batches(t))

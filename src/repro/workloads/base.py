@@ -3,8 +3,11 @@
 A *workload model* is a named, seedable request process: it decides, for
 every simulation slot, how many requests each RSU receives and for which
 contents.  All models share :class:`~repro.net.requests.RequestGenerator`'s
-sampling engine — one arrival-count draw per RSU per slot, then one
-``choice`` draw per RSU with arrivals — and expose three entry points:
+sampling engine — one arrival-count draw per RSU per slot, then, per RSU
+with arrivals, one block of uniforms mapped to contents by a
+``searchsorted`` on the RSU's popularity CDF (the same RNG doubles, and
+the same contents, as ``rng.choice(n, size, p=weights)``) — and expose
+three entry points:
 
 * ``generate_slot(t)`` — :class:`~repro.net.requests.Request` objects, used
   by the scalar reference simulator loops;
@@ -18,10 +21,12 @@ Because all three funnel through the same per-slot sampling core, every
 execution mode of the simulators sees the identical workload bit for bit —
 the invariant pinned by ``tests/workloads/test_cross_mode_equivalence.py``.
 
-Non-stationary models override two hooks: ``_advance_to(t)`` evolves the
-popularity state (drawing any evolution variates from the workload RNG) and
-``_weights(rsu_id, t)`` returns the popularity in effect for one RSU.  Both
-run inside the per-slot core, so the contract above holds by construction
+Non-stationary models override ``_evolve(t)``, which advances the
+popularity state (drawing any evolution variates from the workload RNG)
+and stores each RSU's new popularity through
+:meth:`WorkloadModel._set_weights`, so the sampling CDF is rebuilt only
+when the weights change.  Evolution
+runs inside the per-slot core, so the contract above holds by construction
 as long as slots are generated in increasing order — which is how every
 simulator loop consumes them.
 """
@@ -34,7 +39,12 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.net.content import ContentCatalog
-from repro.net.requests import ArrivalProcess, RequestGenerator, WorkloadHorizon
+from repro.net.requests import (
+    ArrivalProcess,
+    RequestGenerator,
+    WorkloadHorizon,
+    sampling_cdf,
+)
 from repro.net.topology import RoadTopology
 from repro.utils.rng import RandomSource
 
@@ -82,6 +92,13 @@ class WorkloadModel(RequestGenerator):
             rsu_id: weights.copy()
             for rsu_id, weights in self._local_popularity.items()
         }
+        # The popularity in effect for sampling, and its CDF; only
+        # _set_weights changes them.
+        self._evolved: Dict[int, np.ndarray] = {
+            rsu_id: weights.copy()
+            for rsu_id, weights in self._base_popularity.items()
+        }
+        self._evolved_cdf: Dict[int, np.ndarray] = dict(self._local_cdf)
         # Slot cursor of the evolution loop shared by all subclasses.
         self._cursor = 0
 
@@ -131,6 +148,17 @@ class WorkloadModel(RequestGenerator):
 
     def _evolve(self, time_slot: int) -> None:
         """Advance the popularity state into *time_slot*.  Default: static."""
+
+    def _set_weights(self, rsu_id: int, weights: np.ndarray) -> None:
+        """Make *weights* RSU *rsu_id*'s sampling popularity from now on."""
+        self._evolved[rsu_id] = weights
+        self._evolved_cdf[rsu_id] = sampling_cdf(weights)
+
+    def _weights(self, rsu_id: int, time_slot: int) -> np.ndarray:
+        return self._evolved[rsu_id]
+
+    def _cdf(self, rsu_id: int, time_slot: int) -> np.ndarray:
+        return self._evolved_cdf[rsu_id]
 
     def base_popularity(self, rsu_id: int) -> np.ndarray:
         """The stationary (slot-0) popularity profile of RSU *rsu_id*."""

@@ -17,7 +17,7 @@ Icarus simulator ships the same family):
   distributed lifetime, then decay back to the base popularity.
 
 All models draw evolution variates from the same workload RNG stream as
-the arrival/choice draws, once per slot in topology order, so the RNG
+the arrival/content draws, once per slot in topology order, so the RNG
 consumption is a pure function of the slot index — the property that keeps
 the scalar, vectorised, and seed-batched simulator loops bit-identical.
 """
@@ -98,10 +98,6 @@ class DriftWorkload(WorkloadModel):
             rsu_id: np.log(np.maximum(weights, _LOG_FLOOR))
             for rsu_id, weights in self._base_popularity.items()
         }
-        self._evolved: Dict[int, np.ndarray] = {
-            rsu_id: weights.copy()
-            for rsu_id, weights in self._base_popularity.items()
-        }
 
     def _evolve(self, time_slot: int) -> None:
         if time_slot == 0 or time_slot % self._period:
@@ -112,10 +108,7 @@ class DriftWorkload(WorkloadModel):
             # Subtract the max before exponentiating for numerical range;
             # the normalisation cancels the shift.
             shifted = np.exp(log_weights - log_weights.max())
-            self._evolved[rsu.rsu_id] = self._normalized(shifted)
-
-    def _weights(self, rsu_id: int, time_slot: int) -> np.ndarray:
-        return self._evolved[rsu_id]
+            self._set_weights(rsu.rsu_id, self._normalized(shifted))
 
 
 @register_workload("flash-crowd")
@@ -173,10 +166,6 @@ class FlashCrowdWorkload(WorkloadModel):
         self._burst_end: Dict[int, int] = {
             rsu.rsu_id: -1 for rsu in self._topology.rsus
         }
-        self._evolved: Dict[int, np.ndarray] = {
-            rsu_id: weights.copy()
-            for rsu_id, weights in self._base_popularity.items()
-        }
 
     def hot_content(self, rsu_id: int) -> Optional[int]:
         """Content id of the RSU's active burst, or ``None``."""
@@ -193,7 +182,7 @@ class FlashCrowdWorkload(WorkloadModel):
             rsu_id = rsu.rsu_id
             if 0 <= self._burst_end[rsu_id] < time_slot:
                 self._burst_end[rsu_id] = -1
-                self._evolved[rsu_id] = self._base_popularity[rsu_id].copy()
+                self._set_weights(rsu_id, self._base_popularity[rsu_id].copy())
             # One uniform draw per RSU per slot regardless of the outcome,
             # so RNG consumption never depends on the burst state.
             if self._rng.random() < self._burst_prob:
@@ -201,11 +190,8 @@ class FlashCrowdWorkload(WorkloadModel):
                 hot = int(self._rng.integers(base.size))
                 spiked = (1.0 - self._concentration) * base
                 spiked[hot] += self._concentration
-                self._evolved[rsu_id] = self._normalized(spiked)
+                self._set_weights(rsu_id, self._normalized(spiked))
                 self._burst_end[rsu_id] = time_slot + self._duration - 1
-
-    def _weights(self, rsu_id: int, time_slot: int) -> np.ndarray:
-        return self._evolved[rsu_id]
 
 
 @register_workload("shot-noise")
@@ -269,10 +255,6 @@ class ShotNoiseWorkload(WorkloadModel):
         self._next_change: Dict[int, float] = {
             rsu.rsu_id: np.inf for rsu in self._topology.rsus
         }
-        self._evolved: Dict[int, np.ndarray] = {
-            rsu_id: weights.copy()
-            for rsu_id, weights in self._base_popularity.items()
-        }
 
     def active_contents(self, rsu_id: int) -> np.ndarray:
         """Content ids of the RSU's currently-live shots."""
@@ -296,13 +278,11 @@ class ShotNoiseWorkload(WorkloadModel):
                 active = expiry > time_slot
                 if active.any():
                     factors = np.where(active, self._boost, 1.0)
-                    self._evolved[rsu_id] = self._normalized(
-                        self._base_popularity[rsu_id] * factors
+                    self._set_weights(
+                        rsu_id,
+                        self._normalized(self._base_popularity[rsu_id] * factors),
                     )
                     self._next_change[rsu_id] = float(expiry[active].min())
                 else:
-                    self._evolved[rsu_id] = self._base_popularity[rsu_id].copy()
+                    self._set_weights(rsu_id, self._base_popularity[rsu_id].copy())
                     self._next_change[rsu_id] = np.inf
-
-    def _weights(self, rsu_id: int, time_slot: int) -> np.ndarray:
-        return self._evolved[rsu_id]

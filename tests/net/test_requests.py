@@ -17,6 +17,7 @@ from repro.net.requests import (
     RequestGenerator,
 )
 from repro.net.topology import RoadTopology
+from repro.workloads import create_workload
 
 
 @pytest.fixture
@@ -180,3 +181,109 @@ class TestRequestGenerator:
             for request in requests:
                 per_rsu[request.rsu_id] = per_rsu.get(request.rsu_id, 0) + 1
             assert all(count <= 1 for count in per_rsu.values())
+
+
+def choice_slot_batches(generator, time_slot):
+    """Reference sampling core: one ``rng.choice`` per RSU with arrivals.
+
+    The production core maps a block of uniforms through a precomputed CDF
+    instead; it must reproduce this draw bit for bit.  If a numpy upgrade
+    ever changes how ``Generator.choice`` consumes the stream, the oracle
+    test below is what fails.
+    """
+    generator._advance_to(time_slot)
+    batches = []
+    for rsu in generator._topology.rsus:
+        count = generator._arrivals.sample(generator._rng)
+        if count <= 0:
+            continue
+        contents = generator._local_content_arrays[rsu.rsu_id]
+        weights = generator._weights(rsu.rsu_id, time_slot)
+        chosen = generator._rng.choice(contents.size, size=count, p=weights)
+        batches.append((rsu.rsu_id, contents[np.atleast_1d(chosen)]))
+    return batches
+
+
+ORACLE_WORKLOADS = [
+    "stationary",
+    "drift:period=3,step=0.8",
+    "flash-crowd:burst_prob=0.3,duration=4",
+    "shot-noise:event_rate=0.4,mean_lifetime=3",
+]
+
+ORACLE_ARRIVALS = [
+    BernoulliArrivals(0.6),
+    PoissonArrivals(2.5),
+    DeterministicArrivals(1),
+    DeterministicArrivals(3),
+]
+
+
+class TestCdfSamplerOracle:
+    """The CDF sampler equals ``rng.choice`` draw for draw."""
+
+    SLOTS = 60
+
+    @staticmethod
+    def build(workload, arrivals):
+        topology = RoadTopology(12, 4)
+        catalog = ContentCatalog.random(12, rng=1)
+        return create_workload(
+            workload, topology, catalog, arrivals=arrivals, rng=2024
+        )
+
+    def assert_matches_choice(self, production, reference):
+        """Compare both cores slot by slot; return the batch sizes seen."""
+        sizes = set()
+        for t in range(self.SLOTS):
+            got = production.generate_slot_contents(t)
+            want = choice_slot_batches(reference, t)
+            assert [rsu for rsu, _ in got] == [rsu for rsu, _ in want]
+            for (_, ids), (_, expected) in zip(got, want):
+                assert ids.dtype == expected.dtype
+                np.testing.assert_array_equal(ids, expected)
+                sizes.add(ids.size)
+        assert production._rng.bit_generator.state == (
+            reference._rng.bit_generator.state
+        )
+        return sizes
+
+    @pytest.mark.parametrize("arrivals", ORACLE_ARRIVALS, ids=repr)
+    @pytest.mark.parametrize("workload", ORACLE_WORKLOADS)
+    def test_batches_and_stream_state_match_choice(self, workload, arrivals):
+        sizes = self.assert_matches_choice(
+            self.build(workload, arrivals), self.build(workload, arrivals)
+        )
+        # The draws covered single- and multi-request batches as declared.
+        if isinstance(arrivals, DeterministicArrivals):
+            assert sizes == {arrivals.count}
+        elif isinstance(arrivals, PoissonArrivals):
+            assert 1 in sizes and max(sizes) > 1
+
+    @pytest.mark.parametrize("workload", ORACLE_WORKLOADS[1:])
+    def test_non_stationary_weights_evolve_under_the_oracle(self, workload):
+        # Guard against a vacuous oracle: the parameters above must make the
+        # non-stationary models leave their base profile within the horizon.
+        model = self.build(workload, PoissonArrivals(2.5))
+        evolved = False
+        for t in range(self.SLOTS):
+            model.generate_slot_contents(t)
+            evolved |= any(
+                not np.array_equal(
+                    model._weights(rsu.rsu_id, t), model.base_popularity(rsu.rsu_id)
+                )
+                for rsu in model._topology.rsus
+            )
+        assert evolved
+
+    def test_plain_generator_matches_choice(self):
+        def build():
+            return RequestGenerator(
+                RoadTopology(12, 4),
+                ContentCatalog.random(12, rng=1),
+                arrivals=PoissonArrivals(2.0),
+                zipf_exponent=1.2,
+                rng=9,
+            )
+
+        self.assert_matches_choice(build(), build())

@@ -19,6 +19,7 @@ from repro.analysis.sweep import (
 )
 from repro.baselines.caching import PeriodicUpdatePolicy, RandomUpdatePolicy
 from repro.exceptions import ValidationError
+from repro.policies import PolicySpec
 from repro.runtime.runner import (
     BatchResult,
     ExperimentRunner,
@@ -146,6 +147,23 @@ class TestRunnerDeterminism:
         assert batches[0].matches(batches[1])
         assert batches[1].matches(batches[2])
 
+    def test_joint_grid_across_worker_counts(self):
+        # Pool workers generate their seeds' arrival horizons themselves;
+        # the coupled joint records must not notice where that happened.
+        scenario = ScenarioConfig.small(seed=3, num_slots=40, arrival_rate=0.8)
+        specs = [
+            RunSpec(
+                kind="joint",
+                scenario=scenario,
+                policy=PolicySpec.coerce("mdp"),
+                service_policy=PolicySpec.coerce("lyapunov"),
+                label="joint",
+            )
+        ]
+        parallel = ExperimentRunner(workers=2).run_grid(specs, num_seeds=3)
+        serial = ExperimentRunner(workers=1).run_grid(specs, num_seeds=3)
+        assert parallel.matches(serial)
+
     def test_child_seeds_do_not_collide(self, tiny_scenario):
         batch = ExperimentRunner(workers=1).run_grid(
             cache_grid(tiny_scenario, labels=("a",)), num_seeds=16
@@ -162,6 +180,41 @@ class TestRunnerDeterminism:
     def test_empty_grid_rejected(self):
         with pytest.raises(ValidationError):
             ExperimentRunner(workers=1).run([])
+
+
+class TestDispatchStats:
+    def service_specs(self, tiny_scenario):
+        return [
+            RunSpec(
+                kind="service",
+                scenario=tiny_scenario,
+                policy=PolicySpec.coerce(name),
+                label=name,
+            )
+            for name in ("lyapunov", "always-serve")
+        ]
+
+    def test_pool_run_reports_per_worker_time(self, tiny_scenario):
+        runner = ExperimentRunner(workers=2)
+        runner.run_grid(self.service_specs(tiny_scenario), num_seeds=3)
+        stats = runner.last_dispatch_stats
+        assert stats["workers"] == 2
+        assert stats["per_worker"]
+        assert sum(entry["tasks"] for entry in stats["per_worker"].values()) == (
+            stats["tasks"]
+        )
+        assert stats["task_seconds_total"] > 0.0
+        assert stats["wall_seconds"] > 0.0
+        assert stats["horizon_precompute_seconds"] == 0.0
+        assert stats["shm_setup_seconds"] == 0.0
+
+    def test_serial_run_reports_stats(self, tiny_scenario):
+        runner = ExperimentRunner(workers=1)
+        runner.run_grid(self.service_specs(tiny_scenario), num_seeds=2)
+        stats = runner.last_dispatch_stats
+        assert stats["workers"] == 1
+        assert stats["tasks"] == 2
+        assert "run_store" not in stats
 
 
 class TestSeedBatchedDispatch:
