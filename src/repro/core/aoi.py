@@ -296,7 +296,8 @@ class AoIVector:
         """Advance all ages by *slots*, saturating at the ceiling."""
         if slots < 0:
             raise ValidationError(f"slots must be non-negative, got {slots}")
-        self._ages = np.minimum(self._ages + float(slots), self._ceiling)
+        np.add(self._ages, float(slots), out=self._ages)
+        np.minimum(self._ages, self._ceiling, out=self._ages)
         return self.ages
 
     def refresh(self, index: int, age_at_delivery: float = 1.0) -> None:

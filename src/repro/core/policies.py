@@ -119,19 +119,36 @@ class CachingPolicy(abc.ABC):
                 f"actions shape {actions.shape} does not match observation shape "
                 f"{expected_shape}"
             )
-        # Integer actions are binary iff min >= 0 and max <= 1; the range
-        # reductions allocate no boolean temporaries, which matters in the
-        # per-slot hot loops at production grid sizes.
-        if actions.size and (actions.min() < 0 or actions.max() > 1):
+        if actions.size and not CachingPolicy._actions_valid(actions):
+            CachingPolicy._raise_invalid(actions)
+        return actions
+
+    @staticmethod
+    def _actions_valid(actions: np.ndarray) -> bool:
+        """Whether non-empty integer *actions* (``(..., R, C)``) are all valid.
+
+        Integer actions are binary iff min >= 0 and max <= 1, and then
+        one-per-RSU iff the largest per-RSU sum is at most one.  The
+        reductions allocate no grid-sized boolean temporaries, which
+        matters in the per-slot hot loops at production grid sizes.
+        """
+        return bool(
+            actions.min() >= 0
+            and actions.max() <= 1
+            and actions.sum(axis=-1).max() <= 1
+        )
+
+    @staticmethod
+    def _raise_invalid(actions: np.ndarray) -> None:
+        """Raise the error :meth:`validate_actions` reports for *actions*."""
+        if actions.min() < 0 or actions.max() > 1:
             raise ValidationError("actions must be binary (0 or 1)")
         per_rsu = actions.sum(axis=1)
-        if np.any(per_rsu > 1):
-            offending = int(np.argmax(per_rsu > 1))
-            raise ValidationError(
-                f"RSU {offending} updates {int(per_rsu[offending])} contents in one "
-                "slot; the model allows at most one"
-            )
-        return actions
+        offending = int(np.argmax(per_rsu > 1))
+        raise ValidationError(
+            f"RSU {offending} updates {int(per_rsu[offending])} contents in one "
+            "slot; the model allows at most one"
+        )
 
 
 @dataclass(frozen=True)

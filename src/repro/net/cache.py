@@ -271,9 +271,11 @@ class MBSContentStore:
 
     def tick(self, time_slot: int) -> None:
         """Advance one slot: age all copies, regenerating those that are due."""
-        self._aoi.tick(1)
         if time_slot % self._period == 0:
+            # Regeneration overwrites every age, so ageing first is moot.
             self._aoi.refresh_all(1.0)
+        else:
+            self._aoi.tick(1)
 
     def __repr__(self) -> str:  # pragma: no cover - repr cosmetics
         return f"MBSContentStore(num_contents={self._catalog.num_contents})"

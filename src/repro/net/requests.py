@@ -34,10 +34,12 @@ def sampling_cdf(weights: np.ndarray) -> np.ndarray:
 
     Built exactly as ``Generator.choice(n, size, p=weights)`` builds it for
     ``replace=True``, so ``cdf.searchsorted(rng.random(size), side="right")``
-    returns the same indices and consumes the same doubles from *rng*.
+    returns the same indices and consumes the same doubles from *rng*.  A
+    2-D *weights* gets one CDF per row, each equal to the 1-D result for
+    that row (the accumulation runs along the row in order).
     """
-    cdf = np.cumsum(weights, dtype=float)
-    cdf /= cdf[-1]
+    cdf = np.add.accumulate(np.asarray(weights, dtype=float), axis=-1)
+    cdf /= cdf[..., -1:].copy()
     return cdf
 
 

@@ -192,6 +192,7 @@ class _BatchedCacheStage:
         if self._batched:
             return self._decider.decide(self.ages)
         per_seed = []
+        shape = self.ages.shape[1:]
         for s, state in enumerate(self.states):
             # The static parameter matrices are never mutated, so aliasing
             # them is safe even for policies that retain observations; the
@@ -200,9 +201,18 @@ class _BatchedCacheStage:
             observation = state.observation_vector(
                 time_slot, self.ages[s].copy(), copy=False
             )
-            actions = self.policies[s].decide(observation)
-            per_seed.append(CachingPolicy.validate_actions(actions, observation))
-        return np.stack(per_seed)
+            actions = np.asarray(self.policies[s].decide(observation), dtype=int)
+            if actions.shape != shape:
+                CachingPolicy.validate_actions(actions, observation)
+            per_seed.append(actions)
+        stacked = np.stack(per_seed)
+        # One validation pass over the stacked tensor; only a failing batch
+        # is re-checked per seed, to raise the first bad seed's exact error.
+        if stacked.size and not CachingPolicy._actions_valid(stacked):
+            for actions in per_seed:
+                if not CachingPolicy._actions_valid(actions):
+                    CachingPolicy._raise_invalid(actions)
+        return stacked
 
     def step(self, time_slot: int, recorders: List[_CacheBlockRecorder]) -> None:
         """Run one slot: decide, account the Eq. (1) reward, apply updates."""
@@ -215,13 +225,16 @@ class _BatchedCacheStage:
         # so the per-slot loop allocates nothing of O(grid) size.
         post_ages = self._post
         np.copyto(post_ages, self.ages)
-        post_ages[actions > 0] = 1.0
+        updated = actions > 0
+        np.copyto(post_ages, 1.0, where=updated)
         scratch = self._scratch
         np.maximum(post_ages, 1.0, out=scratch)
         np.divide(self.max_ages, scratch, out=scratch)
         np.multiply(scratch, self.popularity, out=scratch)
         aoi_totals = scratch.reshape(num_seeds, -1).sum(axis=1)
-        np.multiply(actions, costs, out=self._cost_scratch)
+        # Actions are 0/1 (validated, or one-hot from the batched decider),
+        # so the boolean mask multiplies to the same products, cast cheaper.
+        np.multiply(updated, costs, out=self._cost_scratch)
         cost_totals = self._cost_scratch.reshape(num_seeds, -1).sum(axis=1)
         totals = self.weight * aoi_totals - cost_totals
         # Swap buffers: the outgoing ages tensor becomes next slot's scratch.

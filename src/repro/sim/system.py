@@ -59,6 +59,12 @@ class SystemState:
             [rsu.covered_regions for rsu in self.topology.rsus], dtype=int
         )
         self.max_ages = self.catalog.max_ages[self.content_ids]
+        # RoadTopology numbers contents RSU by RSU, so the gather from
+        # per-content vectors is normally a plain reshape.
+        ids = self.content_ids.ravel()
+        self._ids_in_order = ids.size == self.catalog.num_contents and bool(
+            np.array_equal(ids, np.arange(ids.size))
+        )
         self.popularity = np.zeros((num_rsus, per_rsu))
         for k, rsu in enumerate(self.topology.rsus):
             population = self.request_generator.content_population(rsu.rsu_id)
@@ -164,8 +170,15 @@ class SystemState:
             max_ages=self.max_ages.copy() if copy else self.max_ages,
             popularity=self.popularity.copy() if copy else self.popularity,
             update_costs=self.update_costs_vector(time_slot, copy=copy),
-            mbs_ages=self.mbs_store.ages[self.content_ids],
+            mbs_ages=self._mbs_ages_matrix(),
         )
+
+    def _mbs_ages_matrix(self) -> np.ndarray:
+        """MBS copy ages gathered per (RSU, content slot), as a fresh array."""
+        ages = self.mbs_store.ages
+        if self._ids_in_order:
+            return ages.reshape(self.content_ids.shape)
+        return ages[self.content_ids]
 
 
 def _expand_batch_policies(seeds: Sequence[int], policies, base_policy) -> List:

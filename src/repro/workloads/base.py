@@ -24,16 +24,20 @@ the invariant pinned by ``tests/workloads/test_cross_mode_equivalence.py``.
 Non-stationary models override ``_evolve(t)``, which advances the
 popularity state (drawing any evolution variates from the workload RNG)
 and stores each RSU's new popularity through
-:meth:`WorkloadModel._set_weights`, so the sampling CDF is rebuilt only
-when the weights change.  Evolution
-runs inside the per-slot core, so the contract above holds by construction
-as long as slots are generated in increasing order — which is how every
-simulator loop consumes them.
+:meth:`WorkloadModel._set_weights` (or :meth:`WorkloadModel._reset_weights`
+back to the base profile), so the sampling CDF is rebuilt only when the
+weights change.  Per-RSU event draws go through
+:meth:`WorkloadModel._event_rsus`, which draws a slot's uniforms as one
+block yet consumes the stream exactly as the one-draw-per-RSU loop does
+(pinned by ``tests/workloads/test_models.py::TestEvolutionOracle``).
+Evolution runs inside the per-slot core, so the contract above holds by
+construction as long as slots are generated in increasing order — which
+is how every simulator loop consumes them.
 """
 
 from __future__ import annotations
 
-from typing import Any, Dict, Optional, Sequence
+from typing import Any, Dict, Iterator, Optional, Sequence
 
 import numpy as np
 
@@ -99,6 +103,12 @@ class WorkloadModel(RequestGenerator):
             for rsu_id, weights in self._base_popularity.items()
         }
         self._evolved_cdf: Dict[int, np.ndarray] = dict(self._local_cdf)
+        # RSU ids in topology order (the order evolution draws run in), and
+        # each id's position in it, for per-RSU state kept in arrays.
+        self._rsu_ids = [rsu.rsu_id for rsu in topology.rsus]
+        self._rsu_position = {
+            rsu_id: position for position, rsu_id in enumerate(self._rsu_ids)
+        }
         # Slot cursor of the evolution loop shared by all subclasses.
         self._cursor = 0
 
@@ -149,10 +159,49 @@ class WorkloadModel(RequestGenerator):
     def _evolve(self, time_slot: int) -> None:
         """Advance the popularity state into *time_slot*.  Default: static."""
 
-    def _set_weights(self, rsu_id: int, weights: np.ndarray) -> None:
-        """Make *weights* RSU *rsu_id*'s sampling popularity from now on."""
+    def _set_weights(
+        self, rsu_id: int, weights: np.ndarray, cdf: Optional[np.ndarray] = None
+    ) -> None:
+        """Make *weights* RSU *rsu_id*'s sampling popularity from now on.
+
+        *cdf*, when given, must be ``sampling_cdf(weights)`` already built
+        (for example one row of a batch); otherwise it is built here.
+        """
         self._evolved[rsu_id] = weights
-        self._evolved_cdf[rsu_id] = sampling_cdf(weights)
+        self._evolved_cdf[rsu_id] = sampling_cdf(weights) if cdf is None else cdf
+
+    def _reset_weights(self, rsu_id: int) -> None:
+        """Return RSU *rsu_id* to its base popularity (and its base CDF)."""
+        self._evolved[rsu_id] = self._base_popularity[rsu_id].copy()
+        self._evolved_cdf[rsu_id] = self._local_cdf[rsu_id]
+
+    def _event_rsus(self, probability: float) -> Iterator[int]:
+        """Yield, in topology order, the RSUs whose slot event fires.
+
+        Each RSU's event is one uniform draw below *probability*, and the
+        stream is consumed exactly as one ``self._rng.random()`` per RSU in
+        topology order would consume it, with whatever the caller draws for
+        a yielded RSU right after that RSU's uniform.  The uniforms are
+        drawn as one block; on a hit the generator rewinds the bit
+        generator to the block's start and re-draws up to the hit, so a
+        slot without events costs one vector draw instead of a Python loop.
+        The caller must exhaust the iterator.
+        """
+        rng = self._rng
+        bit_generator = rng.bit_generator
+        rsu_ids = self._rsu_ids
+        start, count = 0, len(rsu_ids)
+        while start < count:
+            state = bit_generator.state
+            hits = (rng.random(count - start) < probability).nonzero()[0]
+            if not hits.size:
+                return
+            hit = start + int(hits[0])
+            if hit + 1 < count:
+                bit_generator.state = state
+                rng.random(hit + 1 - start)
+            yield rsu_ids[hit]
+            start = hit + 1
 
     def _weights(self, rsu_id: int, time_slot: int) -> np.ndarray:
         return self._evolved[rsu_id]
@@ -165,9 +214,20 @@ class WorkloadModel(RequestGenerator):
         return self._base_popularity[self._check_rsu(rsu_id)].copy()
 
     @staticmethod
+    def _normalized_rows(weights: np.ndarray) -> np.ndarray:
+        """:meth:`_normalized` of every row of 2-D *weights* at once.
+
+        Each row sum reduces the contiguous row exactly as a 1-D sum does,
+        so every row equals ``_normalized(row)`` bit for bit.  Rows must
+        have positive sums, as any row built from a base popularity does.
+        """
+        weights = np.asarray(weights, dtype=float).clip(0.0, None)
+        return weights / weights.sum(axis=1, keepdims=True)
+
+    @staticmethod
     def _normalized(weights: np.ndarray) -> np.ndarray:
         """Renormalise *weights* into an exact probability vector."""
-        weights = np.clip(np.asarray(weights, dtype=float), 0.0, None)
+        weights = np.asarray(weights, dtype=float).clip(0.0, None)
         total = weights.sum()
         if total <= 0:
             return np.full(weights.size, 1.0 / weights.size)

@@ -30,7 +30,7 @@ import numpy as np
 
 from repro.exceptions import ConfigurationError
 from repro.net.content import ContentCatalog
-from repro.net.requests import ArrivalProcess
+from repro.net.requests import ArrivalProcess, sampling_cdf
 from repro.net.topology import RoadTopology
 from repro.utils.rng import RandomSource
 from repro.utils.validation import (
@@ -163,35 +163,36 @@ class FlashCrowdWorkload(WorkloadModel):
         self._burst_prob = float(params["burst_prob"])
         self._duration = int(params["duration"])
         self._concentration = float(params["concentration"])
-        self._burst_end: Dict[int, int] = {
-            rsu.rsu_id: -1 for rsu in self._topology.rsus
-        }
+        # Last slot of each RSU's active burst (by topology position), or -1.
+        self._burst_end = np.full(len(self._rsu_ids), -1, dtype=np.int64)
 
     def hot_content(self, rsu_id: int) -> Optional[int]:
         """Content id of the RSU's active burst, or ``None``."""
         rsu_id = self._check_rsu(rsu_id)
         # The cursor sits one past the last generated slot; a burst is
         # active there while burst_end covers that slot.
-        if self._burst_end[rsu_id] < self._cursor - 1:
+        if self._burst_end[self._rsu_position[rsu_id]] < self._cursor - 1:
             return None
         weights = self._evolved[rsu_id]
         return int(self._local_content_arrays[rsu_id][int(np.argmax(weights))])
 
     def _evolve(self, time_slot: int) -> None:
-        for rsu in self._topology.rsus:
-            rsu_id = rsu.rsu_id
-            if 0 <= self._burst_end[rsu_id] < time_slot:
-                self._burst_end[rsu_id] = -1
-                self._set_weights(rsu_id, self._base_popularity[rsu_id].copy())
-            # One uniform draw per RSU per slot regardless of the outcome,
-            # so RNG consumption never depends on the burst state.
-            if self._rng.random() < self._burst_prob:
-                base = self._base_popularity[rsu_id]
-                hot = int(self._rng.integers(base.size))
-                spiked = (1.0 - self._concentration) * base
-                spiked[hot] += self._concentration
-                self._set_weights(rsu_id, self._normalized(spiked))
-                self._burst_end[rsu_id] = time_slot + self._duration - 1
+        ends = self._burst_end
+        # Bursts over before this slot end first: that draws nothing, and a
+        # burst starting this slot cannot end in it, so it commutes with
+        # the event draws below.
+        for position in ((ends >= 0) & (ends < time_slot)).nonzero()[0]:
+            ends[position] = -1
+            self._reset_weights(self._rsu_ids[position])
+        # One uniform draw per RSU per slot regardless of the outcome, so
+        # RNG consumption never depends on the burst state.
+        for rsu_id in self._event_rsus(self._burst_prob):
+            base = self._base_popularity[rsu_id]
+            hot = int(self._rng.integers(base.size))
+            spiked = (1.0 - self._concentration) * base
+            spiked[hot] += self._concentration
+            self._set_weights(rsu_id, self._normalized(spiked))
+            ends[self._rsu_position[rsu_id]] = time_slot + self._duration - 1
 
 
 @register_workload("shot-noise")
@@ -248,41 +249,53 @@ class ShotNoiseWorkload(WorkloadModel):
         self._event_rate = float(params["event_rate"])
         self._mean_lifetime = float(params["mean_lifetime"])
         self._boost = float(params["boost"])
-        self._expiry: Dict[int, np.ndarray] = {
-            rsu.rsu_id: np.zeros(self._base_popularity[rsu.rsu_id].size)
-            for rsu in self._topology.rsus
-        }
-        self._next_change: Dict[int, float] = {
-            rsu.rsu_id: np.inf for rsu in self._topology.rsus
-        }
+        # Per-RSU state as rows in topology order (every RSU of a road
+        # topology covers the same number of contents), so one slot's
+        # rebuilds run as a few array operations over the changed rows.
+        self._base_rows = np.stack(
+            [self._base_popularity[rsu_id] for rsu_id in self._rsu_ids]
+        )
+        # Base popularity with every content live.
+        self._boosted_rows = self._base_rows * self._boost
+        # Slot each content's shot expires at (0 = never live).
+        self._expiry = np.zeros_like(self._base_rows)
+        # Earliest expiry among each RSU's live shots.
+        self._next_change = np.full(len(self._rsu_ids), np.inf)
 
     def active_contents(self, rsu_id: int) -> np.ndarray:
         """Content ids of the RSU's currently-live shots."""
         rsu_id = self._check_rsu(rsu_id)
-        mask = self._expiry[rsu_id] > self._cursor - 1
+        mask = self._expiry[self._rsu_position[rsu_id]] > self._cursor - 1
         return self._local_content_arrays[rsu_id][mask]
 
     def _evolve(self, time_slot: int) -> None:
-        for rsu in self._topology.rsus:
-            rsu_id = rsu.rsu_id
-            changed = False
-            # One uniform draw per RSU per slot regardless of the outcome.
-            if self._rng.random() < self._event_rate:
-                expiry = self._expiry[rsu_id]
-                index = int(self._rng.integers(expiry.size))
-                lifetime = float(self._rng.exponential(self._mean_lifetime))
-                expiry[index] = max(expiry[index], time_slot + 1.0 + lifetime)
-                changed = True
-            if changed or self._next_change[rsu_id] <= time_slot:
-                expiry = self._expiry[rsu_id]
-                active = expiry > time_slot
-                if active.any():
-                    factors = np.where(active, self._boost, 1.0)
-                    self._set_weights(
-                        rsu_id,
-                        self._normalized(self._base_popularity[rsu_id] * factors),
-                    )
-                    self._next_change[rsu_id] = float(expiry[active].min())
-                else:
-                    self._set_weights(rsu_id, self._base_popularity[rsu_id].copy())
-                    self._next_change[rsu_id] = np.inf
+        changed = set()
+        # One uniform draw per RSU per slot regardless of the outcome.
+        for rsu_id in self._event_rsus(self._event_rate):
+            position = self._rsu_position[rsu_id]
+            expiry = self._expiry[position]
+            index = int(self._rng.integers(expiry.size))
+            lifetime = float(self._rng.exponential(self._mean_lifetime))
+            expiry[index] = max(expiry[index], time_slot + 1.0 + lifetime)
+            changed.add(position)
+        # Rebuilds draw nothing, so they can follow all of the slot's draws.
+        changed.update((self._next_change <= time_slot).nonzero()[0].tolist())
+        if not changed:
+            return
+        rows = np.fromiter(changed, dtype=np.intp, count=len(changed))
+        expiry = self._expiry[rows]
+        active = expiry > time_slot
+        next_change = np.where(active, expiry, np.inf).min(axis=1)
+        # base * boost where live, base elsewhere: the same products as
+        # scaling base by per-content factors of boost or 1.
+        weights = self._normalized_rows(
+            np.where(active, self._boosted_rows[rows], self._base_rows[rows])
+        )
+        cdfs = sampling_cdf(weights)
+        for row, position in enumerate(rows.tolist()):
+            rsu_id = self._rsu_ids[position]
+            if next_change[row] < np.inf:
+                self._set_weights(rsu_id, weights[row], cdfs[row])
+            else:
+                self._reset_weights(rsu_id)
+        self._next_change[rows] = next_change

@@ -97,6 +97,22 @@ class TestValidateActions:
         with pytest.raises(ValidationError, match="at most one"):
             CachingPolicy.validate_actions(actions, cache_observation())
 
+    @pytest.mark.parametrize("value", [2, -1])
+    def test_non_binary_reported_before_per_rsu_count(self, value):
+        # A lone 2 also breaks the per-RSU count, and a -1 can hide a
+        # second update in its row's sum; both must name the binary rule.
+        actions = np.zeros((2, 3), dtype=int)
+        actions[1, 0] = value
+        actions[1, 1] = 1
+        with pytest.raises(ValidationError, match="binary"):
+            CachingPolicy.validate_actions(actions, cache_observation())
+
+    def test_offending_rsu_named(self):
+        actions = np.zeros((2, 3), dtype=int)
+        actions[1, :2] = 1
+        with pytest.raises(ValidationError, match="RSU 1 updates 2 contents"):
+            CachingPolicy.validate_actions(actions, cache_observation())
+
 
 class TestServiceObservation:
     def test_freshness_flag(self):

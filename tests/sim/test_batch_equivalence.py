@@ -189,6 +189,37 @@ class TestCacheBatchEquivalence:
         for single, batched in zip(singles, batch):
             assert_cache_results_identical(single, batched)
 
+    @pytest.mark.parametrize(
+        "corrupt, message",
+        [
+            (lambda actions: actions.__setitem__((0, 0), 2), "binary"),
+            (lambda actions: actions.__setitem__((1, slice(0, 2)), 1), "RSU 1 updates 2"),
+            (lambda actions: actions[:, :1], "shape"),
+        ],
+        ids=["non-binary", "two-per-rsu", "shape"],
+    )
+    def test_invalid_seed_actions_raise_the_per_run_error(self, corrupt, message):
+        # The batch validates the stacked decisions in one pass; a bad seed
+        # must still surface the exact error validate_actions raises.
+        class Corrupting(NeverUpdatePolicy):
+            def __init__(self, bad):
+                self.bad = bad
+
+            def decide(self, observation):
+                actions = super().decide(observation)
+                if not self.bad:
+                    return actions
+                out = corrupt(actions)
+                return actions if out is None else out
+
+        config = ScenarioConfig.small(seed=0, num_slots=5)
+        simulator = CacheSimulator(config, NeverUpdatePolicy())
+        with pytest.raises(ValidationError, match=message):
+            simulator.run_batch(
+                [0, 1, 2],
+                policies=[Corrupting(False), Corrupting(True), Corrupting(False)],
+            )
+
     def test_invalid_batches_rejected(self):
         config = ScenarioConfig.small(seed=0, num_slots=10)
         simulator = CacheSimulator(config, NeverUpdatePolicy())

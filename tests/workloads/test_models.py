@@ -269,6 +269,102 @@ class TestShotNoiseWorkload:
         assert model.active_contents(0).size == 0
 
 
+def _reference_flash_crowd(model, rng, params):
+    """The per-RSU scalar flash-crowd evolution, one uniform per RSU."""
+    base = {rsu.rsu_id: model.base_popularity(rsu.rsu_id) for rsu in model._topology.rsus}
+    weights = {rsu_id: w.copy() for rsu_id, w in base.items()}
+    burst_end = {rsu_id: -1 for rsu_id in base}
+
+    def evolve(t):
+        for rsu in model._topology.rsus:
+            rsu_id = rsu.rsu_id
+            if 0 <= burst_end[rsu_id] < t:
+                burst_end[rsu_id] = -1
+                weights[rsu_id] = base[rsu_id].copy()
+            if rng.random() < params["burst_prob"]:
+                hot = int(rng.integers(base[rsu_id].size))
+                spiked = (1.0 - params["concentration"]) * base[rsu_id]
+                spiked[hot] += params["concentration"]
+                weights[rsu_id] = model._normalized(spiked)
+                burst_end[rsu_id] = t + params["duration"] - 1
+
+    return evolve, weights
+
+
+def _reference_shot_noise(model, rng, params):
+    """The per-RSU scalar shot-noise evolution, one uniform per RSU."""
+    base = {rsu.rsu_id: model.base_popularity(rsu.rsu_id) for rsu in model._topology.rsus}
+    weights = {rsu_id: w.copy() for rsu_id, w in base.items()}
+    expiry = {rsu_id: np.zeros(w.size) for rsu_id, w in base.items()}
+    next_change = {rsu_id: np.inf for rsu_id in base}
+
+    def evolve(t):
+        for rsu in model._topology.rsus:
+            rsu_id = rsu.rsu_id
+            changed = False
+            if rng.random() < params["event_rate"]:
+                index = int(rng.integers(expiry[rsu_id].size))
+                lifetime = float(rng.exponential(params["mean_lifetime"]))
+                expiry[rsu_id][index] = max(expiry[rsu_id][index], t + 1.0 + lifetime)
+                changed = True
+            if changed or next_change[rsu_id] <= t:
+                active = expiry[rsu_id] > t
+                if active.any():
+                    factors = np.where(active, params["boost"], 1.0)
+                    weights[rsu_id] = model._normalized(base[rsu_id] * factors)
+                    next_change[rsu_id] = float(expiry[rsu_id][active].min())
+                else:
+                    weights[rsu_id] = base[rsu_id].copy()
+                    next_change[rsu_id] = np.inf
+
+    return evolve, weights
+
+
+class TestEvolutionOracle:
+    """Block-drawn, row-batched evolution equals the scalar per-RSU loop.
+
+    The models draw each slot's per-RSU event uniforms as one block and
+    rewind on a hit; the reference keeps the historical loop (one
+    ``rng.random()`` per RSU, then the event's own draws).  Weights, CDFs
+    and the final RNG state must match slot by slot — nothing else pins
+    the non-stationary RNG streams.
+    """
+
+    CASES = [
+        ("flash-crowd", dict(burst_prob=0.02, duration=20, concentration=0.8)),
+        ("flash-crowd", dict(burst_prob=0.3, duration=1, concentration=1.0)),
+        ("flash-crowd", dict(burst_prob=1.0, duration=3, concentration=0.5)),
+        ("shot-noise", dict(event_rate=0.05, mean_lifetime=25.0, boost=8.0)),
+        ("shot-noise", dict(event_rate=0.5, mean_lifetime=0.3, boost=8.0)),
+        ("shot-noise", dict(event_rate=1.0, mean_lifetime=4.0, boost=1.0)),
+    ]
+    REFERENCES = {"flash-crowd": _reference_flash_crowd, "shot-noise": _reference_shot_noise}
+
+    @pytest.mark.parametrize("grid", [(12, 4), (640, 32), (274, 2)], ids=str)
+    @pytest.mark.parametrize(
+        "name, params", CASES, ids=[f"{n}-{i}" for i, (n, _) in enumerate(CASES)]
+    )
+    def test_matches_scalar_loop(self, name, params, grid):
+        from repro.net.requests import sampling_cdf
+
+        topology = RoadTopology(*grid)
+        catalog = ContentCatalog.random(grid[0], rng=3)
+        spec = name + ":" + ",".join(f"{k}={v}" for k, v in params.items())
+        model = build(spec, topology, catalog, rng=11)
+        reference_rng = build(spec, topology, catalog, rng=11)._rng
+        evolve, expected = self.REFERENCES[name](model, reference_rng, params)
+        for t in range(120):
+            model._advance_to(t)
+            evolve(t)
+            for rsu in topology.rsus:
+                got = model._weights(rsu.rsu_id, t)
+                np.testing.assert_array_equal(got, expected[rsu.rsu_id])
+                np.testing.assert_array_equal(
+                    model._cdf(rsu.rsu_id, t), sampling_cdf(expected[rsu.rsu_id])
+                )
+            assert model._rng.bit_generator.state == reference_rng.bit_generator.state, t
+
+
 class TestWorkloadSweepOutcomes:
     def test_non_stationary_workloads_change_the_service_trajectory(self):
         config = ScenarioConfig.fig1b(seed=0).with_overrides(num_slots=150)
